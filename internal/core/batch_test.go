@@ -50,9 +50,10 @@ func TestExecutePlanBatchByteIdenticalToSequential(t *testing.T) {
 				vs, us, _ := batchTestVectors(a, nb, int64(mi*100+nb))
 
 				seq := make([][]float64, nb)
+				var seqRep *ExecReport
 				for b := 0; b < nb; b++ {
 					seq[b] = make([]float64, a.Rows)
-					if _, err := bfw.ExecutePlan(context.Background(), p, a, vs[b], seq[b]); err != nil {
+					if seqRep, err = bfw.ExecutePlan(context.Background(), p, a, vs[b], seq[b]); err != nil {
 						t.Fatalf("mat %d w=%d nb=%d: sequential: %v", mi, devWorkers, nb, err)
 					}
 				}
@@ -74,6 +75,12 @@ func TestExecutePlanBatchByteIdenticalToSequential(t *testing.T) {
 								mi, devWorkers, nb, b, i, us[b][i], seq[b][i])
 						}
 					}
+				}
+				// B=1 is the degenerate batch: its shared report is exactly
+				// the single-vector report.
+				if nb == 1 && !reflect.DeepEqual(normalizeReport(rep.Shared), normalizeReport(seqRep)) {
+					t.Errorf("mat %d w=%d: B=1 batch report differs from ExecutePlan's:\n batch  %+v\n single %+v",
+						mi, devWorkers, rep.Shared, seqRep)
 				}
 				if nb > 1 {
 					for _, pr := range rep.Shared.Profiles {
@@ -162,11 +169,11 @@ func TestBatchLaunchZeroAlloc(t *testing.T) {
 	for _, info := range kernels.Pool() {
 		k := info.Kernel
 		for i := 0; i < 3; i++ { // warm the pools
-			launchBatchKernel(context.Background(), dev, a, vs, us, k, groups, nil, false)
+			launchKernel(context.Background(), dev, a, vs, us, k, groups, nil, false)
 		}
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		if n := testing.AllocsPerRun(10, func() {
-			launchBatchKernel(context.Background(), dev, a, vs, us, k, groups, nil, false)
+			launchKernel(context.Background(), dev, a, vs, us, k, groups, nil, false)
 		}); n != 0 {
 			t.Errorf("%s: batch launch allocates %v/op in steady state, want 0", info.Name, n)
 		}

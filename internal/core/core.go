@@ -16,7 +16,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"spmvtune/internal/binning"
@@ -128,19 +127,11 @@ func SimulateKernel(dev hsa.Config, a *sparse.CSR, v, u []float64, k kernels.Ker
 // SimulateKernelCtx is SimulateKernel under a context: the launch polls
 // cancellation between work-group dispatches and aborts with an error
 // matching errdefs.ErrCanceled (u is then partially written). Other kernel
-// panics propagate; use Framework.RunGuarded for full containment.
-func SimulateKernelCtx(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u []float64, k kernels.Kernel, groups []binning.Group) (st hsa.Stats, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			if e, ok := rec.(error); ok && errors.Is(e, errdefs.ErrCanceled) {
-				err = e
-				return
-			}
-			panic(rec)
-		}
-	}()
-	st, _ = launchKernel(ctx, dev, a, v, u, k, groups, nil, false)
-	return st, nil
+// panics propagate; use Framework.ExecutePlan (or RunGuarded) for full
+// containment. It is SimulateBatchKernelCtx at width 1.
+func SimulateKernelCtx(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u []float64, k kernels.Kernel, groups []binning.Group) (hsa.Stats, error) {
+	vu := [2][]float64{v, u}
+	return SimulateBatchKernelCtx(ctx, dev, a, vu[:1], vu[1:], k, groups)
 }
 
 // SimulateBinned executes one kernel launch per non-empty bin using the
@@ -153,29 +144,40 @@ func SimulateBinned(dev hsa.Config, a *sparse.CSR, v, u []float64, b *binning.Bi
 // SimulateBinnedCtx is SimulateBinned under a context: cancellation is
 // honored between bin launches and inside each launch.
 func SimulateBinnedCtx(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u []float64, b *binning.Binning, kernelByBin map[int]int) (hsa.Stats, error) {
+	var total hsa.Stats
+	err := forEachBinLaunch(ctx, dev, a, v, u, b, kernelByBin, func(st hsa.Stats) { total.Add(st) })
+	return total, err
+}
+
+// forEachBinLaunch launches each non-empty bin's kernel in bin order and
+// hands every launch's stats to add. The width-1 vector slices are built
+// once per call, not once per launch.
+func forEachBinLaunch(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u []float64, b *binning.Binning,
+	kernelByBin map[int]int, add func(hsa.Stats)) error {
+
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var total hsa.Stats
+	vu := [2][]float64{v, u}
 	for _, binID := range b.NonEmpty() {
 		if err := ctx.Err(); err != nil {
-			return total, errdefs.Canceled(err)
+			return errdefs.Canceled(err)
 		}
 		kid, ok := kernelByBin[binID]
 		if !ok {
-			return total, fmt.Errorf("core: no kernel assigned to non-empty bin %d", binID)
+			return fmt.Errorf("core: no kernel assigned to non-empty bin %d", binID)
 		}
 		info, ok := kernels.ByID(kid)
 		if !ok {
-			return total, fmt.Errorf("core: unknown kernel id %d for bin %d", kid, binID)
+			return fmt.Errorf("core: unknown kernel id %d for bin %d", kid, binID)
 		}
-		st, err := SimulateKernelCtx(ctx, dev, a, v, u, info.Kernel, b.Bins[binID])
+		st, err := SimulateBatchKernelCtx(ctx, dev, a, vu[:1], vu[1:], info.Kernel, b.Bins[binID])
 		if err != nil {
-			return total, err
+			return err
 		}
-		total.Add(st)
+		add(st)
 	}
-	return total, nil
+	return nil
 }
 
 // SimulateSingleKernel runs one kernel over the whole matrix as a single

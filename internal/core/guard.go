@@ -51,7 +51,8 @@ func (s Stage) String() string {
 	return fmt.Sprintf("stage(%d)", int(s))
 }
 
-// GuardOptions tunes RunGuardedOpts. The zero value selects defaults.
+// GuardOptions tunes guarded execution (ExecutePlanOpts,
+// ExecutePlanBatchOpts, RunGuardedOpts). The zero value selects defaults.
 type GuardOptions struct {
 	// MaxAttempts is the number of launches tried per kernel in the chain
 	// before falling back to the next link; retries absorb transient
@@ -83,11 +84,12 @@ type GuardOptions struct {
 	TraceID string
 	// Workers bounds the host pool independent bins are served over: <= 1
 	// (including the zero value) serves bins sequentially in bin order —
-	// the legacy behavior; > 1 fans bins over at most Workers goroutines.
-	// Bins write disjoint row ranges of u and each keeps its own fault
+	// the legacy behavior; > 1 fans bins over at most Workers goroutines,
+	// for fused batches as for single vectors. Bins write disjoint row
+	// ranges of every output vector and each keeps its own fault
 	// arming, retry/backoff loop and fallback chain; per-bin sub-reports
-	// merge in bin order, so on the success path u and the ExecReport are
-	// identical to a sequential run's (trace spans may interleave, and on
+	// merge in bin order, so on the success path the outputs and reports
+	// are identical to a sequential run's (trace spans may interleave, and on
 	// an aborting error the parallel run may have served bins a sequential
 	// run would not have reached). Inner device launches are clamped to a
 	// sequential executor — the bin pool owns the host budget (see
@@ -218,98 +220,108 @@ func (fw *Framework) RunGuarded(ctx context.Context, a *sparse.CSR, v, u []float
 	return fw.RunGuardedOpts(ctx, a, v, u, DefaultGuardOptions())
 }
 
-// RunGuardedOpts is RunGuarded with explicit options.
+// RunGuardedOpts is RunGuarded with explicit options. It is exactly
+// PlanTraced followed by ExecutePlanOpts — the path spmvd serves — with a
+// failed predict path reported as ExecReport.DecisionFallback.
 func (fw *Framework) RunGuardedOpts(ctx context.Context, a *sparse.CSR, v, u []float64, opt GuardOptions) (Decision, *ExecReport, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	opt = opt.withDefaults()
-	rep := &ExecReport{CountersEnabled: opt.Counters}
-
-	// Launch validation: the matrix and vector shapes are untrusted.
-	if err := a.Validate(); err != nil {
-		return Decision{}, rep, err
-	}
-	if len(v) < a.Cols {
-		return Decision{}, rep, errdefs.Invalidf("core: launch validation: len(v)=%d < Cols=%d", len(v), a.Cols)
-	}
-	if len(u) < a.Rows {
-		return Decision{}, rep, errdefs.Invalidf("core: launch validation: len(u)=%d < Rows=%d", len(u), a.Rows)
-	}
-	if err := ctx.Err(); err != nil {
-		return Decision{}, rep, errdefs.Canceled(err)
-	}
-
-	// The predict path consults a deserialized model over input-derived
-	// features; a malformed model must degrade the decision, not the run.
-	d, b, err := fw.decideGuarded(fw.Model(), a, opt.Trace, opt.TraceID)
+	p, err := fw.PlanTraced(ctx, a, opt.Trace, opt.TraceID)
 	if err != nil {
+		return Decision{}, &ExecReport{CountersEnabled: opt.Counters}, err
+	}
+	rep, err := fw.ExecutePlanOpts(ctx, p, a, v, u, opt)
+	if p.Fallback {
 		rep.DecisionFallback = true
-		b = binning.Single(a)
-		d = Decision{U: 0, KernelByBin: map[int]int{0: 0}}
 	}
-	rep.Decision = d
+	return rep.Decision, rep, err
+}
 
-	// The verification oracle (and the terminal CPU-reference fallback):
-	// the sequential reference result for the whole matrix.
-	want := make([]float64, a.Rows)
-	a.MulVec(v, want)
+// guardedExec is the per-call state of one guarded execution over B
+// right-hand sides (B=1 for a single-vector request): the vectors, their
+// reference results, the reconstructed binning and the bin→kernel routing
+// (a func rather than a map so hot per-request callers can route plan
+// lookups without materializing a map per request).
+type guardedExec struct {
+	a             *sparse.CSR
+	vs, us, wants [][]float64
+	bn            *binning.Binning
+	kernelFor     func(binID int) int
+	opt           GuardOptions
+}
 
-	if err := fw.runBinsGuarded(ctx, a, v, u, want, b, func(binID int) int { return d.KernelByBin[binID] }, opt, rep); err != nil {
-		return d, rep, err
-	}
-	return d, rep, nil
+// vector returns the width-1 view of right-hand side b. The views are
+// sub-slices of the batch's own slices, so isolating a vector allocates no
+// new slice headers.
+func (x *guardedExec) vector(b int) guardedExec {
+	w := *x
+	w.vs, w.us, w.wants = x.vs[b:b+1], x.us[b:b+1], x.wants[b:b+1]
+	return w
 }
 
 // runBinsGuarded serves every non-empty bin through the fallback chain —
-// the shared execution engine of RunGuardedOpts and ExecutePlanOpts.
-// kernelFor maps a non-empty bin to its predicted kernel ID (a func rather
-// than a map so hot per-request callers can route plan lookups without
-// materializing a map per request). With opt.Workers > 1 independent bins
-// are served concurrently; each bin runs against a private sub-report and
-// the sub-reports merge in bin order, so the success-path result is
-// identical to the sequential run's.
-func (fw *Framework) runBinsGuarded(ctx context.Context, a *sparse.CSR, v, u, want []float64,
-	b *binning.Binning, kernelFor func(binID int) int, opt GuardOptions, rep *ExecReport) error {
-
-	bins := b.NonEmpty()
-	workers := opt.Workers
+// the one execution engine behind every guarded entry point. With
+// opt.Workers > 1 independent bins are served concurrently; each bin runs
+// against a private sub-report and the sub-reports merge in bin order, so
+// the success-path result is identical to the sequential run's.
+func (fw *Framework) runBinsGuarded(ctx context.Context, x *guardedExec, rep *BatchReport) error {
+	bins := x.bn.NonEmpty()
+	workers := x.opt.Workers
 	if workers > len(bins) {
 		workers = len(bins)
 	}
 	if workers <= 1 {
 		for _, binID := range bins {
-			if err := fw.runBinGuarded(ctx, fw.Cfg.Device, a, v, u, want, b, binID, kernelFor(binID), opt, rep); err != nil {
+			if err := fw.serveBin(ctx, fw.Cfg.Device, x, binID, rep); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 
+	// Whatever the pool's task closure captures escapes to the heap, so it
+	// captures a copy of x and prebuilt sub-reports rather than x and rep:
+	// the sequential path's per-call state stays on the stack.
 	dev := sequentialDevice(fw.Cfg.Device)
-	subs := make([]*ExecReport, len(bins))
+	subs := make([]BatchReport, len(bins))
+	for i := range subs {
+		subs[i] = BatchReport{Vectors: rep.Vectors, Shared: rep.Shared.fork()}
+	}
 	errs := make([]error, len(bins))
+	xp := *x
 	forEachLimit(workers, len(bins), func(i int) {
-		sub := &ExecReport{Decision: rep.Decision, CountersEnabled: rep.CountersEnabled}
-		subs[i] = sub
-		errs[i] = fw.runBinGuarded(ctx, dev, a, v, u, want, b, bins[i], kernelFor(bins[i]), opt, sub)
+		errs[i] = fw.serveBin(ctx, dev, &xp, bins[i], &subs[i])
 	})
 	var firstErr error
-	for i, sub := range subs {
-		rep.Bins = append(rep.Bins, sub.Bins...)
-		rep.Profiles = append(rep.Profiles, sub.Profiles...)
-		rep.Stats.Add(sub.Stats)
-		if rep.CountersEnabled {
-			rep.Counters.Add(sub.Counters)
+	for i := range subs {
+		rep.Shared.merge(subs[i].Shared)
+		for b, pv := range subs[i].PerVector {
+			if pv != nil {
+				rep.vectorReport(b).merge(pv)
+			}
 		}
-		rep.Retries += sub.Retries
-		rep.Fallbacks += sub.Fallbacks
-		rep.CPUServed += sub.CPUServed
 		if errs[i] != nil && firstErr == nil {
 			firstErr = errs[i]
 		}
 	}
 	return firstErr
+}
+
+// fork returns an empty report carrying r's decision, for a bin served
+// apart from r (on the bin pool, or isolated out of a fused launch).
+func (r *ExecReport) fork() *ExecReport {
+	return &ExecReport{Decision: r.Decision, CountersEnabled: r.CountersEnabled}
+}
+
+// merge appends a forked sub-report's bin services to r.
+func (r *ExecReport) merge(sub *ExecReport) {
+	r.Bins = append(r.Bins, sub.Bins...)
+	r.Profiles = append(r.Profiles, sub.Profiles...)
+	r.Stats.Add(sub.Stats)
+	if r.CountersEnabled {
+		r.Counters.Add(sub.Counters)
+	}
+	r.Retries += sub.Retries
+	r.Fallbacks += sub.Fallbacks
+	r.CPUServed += sub.CPUServed
 }
 
 // decideGuarded runs the predict path with panic recovery, emitting one
@@ -331,16 +343,26 @@ func (fw *Framework) decideGuarded(m *Model, a *sparse.CSR, tw *trace.Writer, tr
 	return d, b, nil
 }
 
-// runBinGuarded serves one bin through the fallback chain on the given
+// serveBin serves one bin for every right-hand side of x on the given
 // device config (runBinsGuarded passes a sequential-clamped device when the
-// bins themselves run on a pool). It returns a non-nil error only on
-// cancellation; every device failure degrades to the next chain link, and
-// the CPU reference cannot fail.
-func (fw *Framework) runBinGuarded(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u, want []float64,
-	b *binning.Binning, binID, predictedKID int, opt GuardOptions, rep *ExecReport) error {
-
-	groups := b.Bins[binID]
-	br := BinReport{Bin: binID, Rows: b.NumRows(binID)}
+// bins themselves run on a pool). One launch per attempt walks the
+// predicted → Kernel-Serial chain with retries, and each vector's output is
+// verified against its own reference. A launch whose outputs verify for
+// only part of the batch is accepted for the passing vectors; each failing
+// vector is re-served for this bin by serveBin at width 1 (which re-arms
+// the same fault plan, so a deterministic per-vector fault degrades that
+// request through its own retries and fallbacks without touching the
+// others). When the chain is exhausted, a single vector is served from the
+// CPU reference and a batch re-serves every vector at width 1.
+//
+// It returns a non-nil error only on cancellation; every device failure
+// degrades to the next chain link, and the CPU reference cannot fail.
+func (fw *Framework) serveBin(ctx context.Context, dev hsa.Config, x *guardedExec, binID int, rep *BatchReport) error {
+	opt := x.opt
+	nb := len(x.vs)
+	groups := x.bn.Bins[binID]
+	shared := rep.Shared
+	br := BinReport{Bin: binID, Rows: x.bn.NumRows(binID)}
 
 	// The simulated chain: the predicted kernel, then Kernel-Serial unless
 	// serial was the prediction.
@@ -348,6 +370,7 @@ func (fw *Framework) runBinGuarded(ctx context.Context, dev hsa.Config, a *spars
 		stage Stage
 		kid   int
 	}
+	predictedKID := x.kernelFor(binID)
 	chain := []link{{StagePredicted, predictedKID}}
 	if predictedKID != 0 {
 		chain = append(chain, link{StageSerialFallback, 0})
@@ -364,81 +387,132 @@ func (fw *Framework) runBinGuarded(ctx context.Context, dev hsa.Config, a *spars
 		}
 		for retry := 0; retry < opt.MaxAttempts; retry++ {
 			if retry > 0 {
-				rep.Retries++
+				shared.Retries++
 				if err := sleepBackoff(ctx, opt.Backoff<<(retry-1)); err != nil {
-					rep.Bins = append(rep.Bins, br)
+					shared.Bins = append(shared.Bins, br)
 					return err
 				}
 			}
 			if err := ctx.Err(); err != nil {
-				rep.Bins = append(rep.Bins, br)
+				shared.Bins = append(shared.Bins, br)
 				return errdefs.Canceled(err)
 			}
 			fs := opt.Faults.Arm(binID, ln.kid, retry)
 			spanStart := opt.Trace.Now()
 			wallStart := time.Now()
-			st, ctr, err := simulateBinAttempt(ctx, dev, a, v, u, info.Kernel, groups, fs, opt.Counters)
+			st, ctr, err := simulateBinAttempt(ctx, dev, x.a, x.vs, x.us, info.Kernel, groups, fs, opt.Counters, binID%nb)
+			var failed []int
 			if err == nil {
-				if row, ok := verifyBin(u, want, groups, opt.Tolerance); !ok {
-					err = fmt.Errorf("core: output verification failed at row %d: %w", row, errdefs.ErrKernelFault)
-				}
+				failed, err = x.verify(groups)
 			}
 			if err == nil {
 				br.Attempts = append(br.Attempts, Attempt{Stage: ln.stage, Kernel: info.Name, Retry: retry})
 				br.Final = ln.stage
 				if ln.stage != StagePredicted {
-					rep.Fallbacks++
+					shared.Fallbacks++
 				}
-				rep.Stats.Add(st)
+				shared.Stats.Add(st)
 				if ctr != nil {
-					rep.Counters.Add(*ctr)
+					shared.Counters.Add(*ctr)
 				}
 				pr := plan.ExecProfile{
-					Bin: binID, U: rep.Decision.U,
+					Bin: binID, U: shared.Decision.U,
 					Kernel: ln.kid, KernelName: info.Name,
-					Rows: br.Rows, NNZ: binNNZ(a, groups),
-					Stage: ln.stage.String(), FallbackDepth: int(ln.stage),
+					Rows: br.Rows, NNZ: binNNZ(x.a, groups),
+					Vectors: st.Vectors,
+					Stage:   ln.stage.String(), FallbackDepth: int(ln.stage),
 					Attempts: len(br.Attempts),
 					Cycles:   st.Cycles, Seconds: st.Seconds,
 					WallNs:   time.Since(wallStart).Nanoseconds(),
 					Counters: ctr,
 				}
-				rep.Profiles = append(rep.Profiles, pr)
+				shared.Profiles = append(shared.Profiles, pr)
 				emitBinSpan(opt, spanStart, &pr)
-				rep.Bins = append(rep.Bins, br)
+				shared.Bins = append(shared.Bins, br)
+				for _, b := range failed {
+					if err := fw.isolateVector(ctx, dev, x, binID, rep, b); err != nil {
+						return err
+					}
+				}
 				return nil
 			}
 			br.Attempts = append(br.Attempts, Attempt{Stage: ln.stage, Kernel: info.Name, Retry: retry, Err: err.Error()})
 			if errors.Is(err, errdefs.ErrCanceled) {
-				rep.Bins = append(rep.Bins, br)
+				shared.Bins = append(shared.Bins, br)
 				return err
 			}
 		}
+	}
+
+	if nb > 1 {
+		// The fused chain is exhausted: the whole batch leaves the fused
+		// path for this bin, each vector ending at its own CPU reference at
+		// the latest.
+		shared.Fallbacks++
+		shared.Bins = append(shared.Bins, br)
+		for b := 0; b < nb; b++ {
+			if err := fw.isolateVector(ctx, dev, x, binID, rep, b); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 
 	// Terminal fallback: the reference result is already in want; serving
 	// the bin from it is exact, so no verification step is needed.
 	spanStart := opt.Trace.Now()
 	wallStart := time.Now()
+	u, want := x.us[0], x.wants[0]
 	for _, g := range groups {
 		copy(u[g.Start:int(g.Start)+int(g.Count)], want[g.Start:int(g.Start)+int(g.Count)])
 	}
 	br.Attempts = append(br.Attempts, Attempt{Stage: StageCPUReference, Kernel: "reference"})
 	br.Final = StageCPUReference
-	rep.Fallbacks++
-	rep.CPUServed++
+	shared.Fallbacks++
+	shared.CPUServed++
 	pr := plan.ExecProfile{
-		Bin: binID, U: rep.Decision.U,
+		Bin: binID, U: shared.Decision.U,
 		Kernel: -1, KernelName: "reference",
-		Rows: br.Rows, NNZ: binNNZ(a, groups),
+		Rows: br.Rows, NNZ: binNNZ(x.a, groups),
 		Stage: StageCPUReference.String(), FallbackDepth: int(StageCPUReference),
 		Attempts: len(br.Attempts),
 		WallNs:   time.Since(wallStart).Nanoseconds(),
 	}
-	rep.Profiles = append(rep.Profiles, pr)
+	shared.Profiles = append(shared.Profiles, pr)
 	emitBinSpan(opt, spanStart, &pr)
-	rep.Bins = append(rep.Bins, br)
+	shared.Bins = append(shared.Bins, br)
 	return nil
+}
+
+// isolateVector re-serves one bin for vector b alone through serveBin at
+// width 1, recording the service in the vector's isolation report.
+func (fw *Framework) isolateVector(ctx context.Context, dev hsa.Config, x *guardedExec, binID int, rep *BatchReport, b int) error {
+	w := x.vector(b)
+	return fw.serveBin(ctx, dev, &w, binID, &BatchReport{Vectors: 1, Shared: rep.vectorReport(b)})
+}
+
+// verify checks every vector's bin rows against its reference and returns
+// the vectors that failed. When all of them fail the launch itself is at
+// fault — not per-request corruption — and the error asks for a retry.
+func (x *guardedExec) verify(groups []binning.Group) ([]int, error) {
+	var failed []int
+	row := 0
+	for b := range x.us {
+		if r, ok := verifyBin(x.us[b], x.wants[b], groups, x.opt.Tolerance); !ok {
+			if failed == nil {
+				row = r
+			}
+			failed = append(failed, b)
+		}
+	}
+	switch {
+	case len(failed) < len(x.us):
+		return failed, nil
+	case len(failed) == 1:
+		return nil, fmt.Errorf("core: output verification failed at row %d: %w", row, errdefs.ErrKernelFault)
+	default:
+		return nil, fmt.Errorf("core: output verification failed for all %d vectors: %w", len(failed), errdefs.ErrKernelFault)
+	}
 }
 
 // binNNZ sums the stored non-zeros of the rows covered by groups.
@@ -476,16 +550,18 @@ func emitBinSpan(opt GuardOptions, start time.Time, pr *plan.ExecProfile) {
 	opt.Trace.Emit(opt.TraceID, "execute-bin", start, attrs)
 }
 
-// simulateBinAttempt runs one kernel launch with panic recovery: injected
-// device faults and cancellation surface as their typed errors, and any
-// other panic — a misbehaving kernel indexing out of range, say — is
-// contained as a generic kernel fault instead of taking down the process.
-// The launch routes through launchKernel, so dev.Workers selects the
-// executor (legacy single-accountant vs sharded) and faults fire under
-// either. With collect set the launch gathers device performance counters,
-// returned alongside the stats (nil otherwise).
-func simulateBinAttempt(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u []float64,
-	k kernels.Kernel, groups []binning.Group, fs *hsa.FaultState, collect bool) (st hsa.Stats, ctr *hsa.Counters, err error) {
+// simulateBinAttempt runs one kernel launch over B right-hand sides with
+// panic recovery: injected device faults and cancellation surface as their
+// typed errors, and any other panic — a misbehaving kernel indexing out of
+// range, say — is contained as a generic kernel fault instead of taking
+// down the process. The launch routes through launchKernel, so dev.Workers
+// selects the executor (legacy single-accountant vs sharded) and faults
+// fire under either. An armed silent-corruption fault poisons exactly one
+// vector, us[poison], modeling per-request corruption rather than a
+// whole-launch failure. With collect set the launch gathers device
+// performance counters, returned alongside the stats (nil otherwise).
+func simulateBinAttempt(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, us [][]float64,
+	k kernels.Kernel, groups []binning.Group, fs *hsa.FaultState, collect bool, poison int) (st hsa.Stats, ctr *hsa.Counters, err error) {
 
 	defer func() {
 		rec := recover()
@@ -499,10 +575,11 @@ func simulateBinAttempt(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u
 		err = fmt.Errorf("core: recovered kernel panic: %v: %w", rec, errdefs.ErrKernelFault)
 	}()
 
-	st, ctr = launchKernel(ctx, dev, a, v, u, k, groups, fs, collect)
+	st, ctr = launchKernel(ctx, dev, a, vs, us, k, groups, fs, collect)
 	if fs.PoisonOutput() {
-		// Silent data corruption: the launch "succeeded" but its output
-		// rows are NaN. Only the verification oracle can catch this.
+		// Silent data corruption: the launch "succeeded" but the vector's
+		// output rows are NaN. Only the verification oracle can catch this.
+		u := us[poison]
 		for _, g := range groups {
 			for r := g.Start; r < g.Start+g.Count; r++ {
 				u[r] = math.NaN()

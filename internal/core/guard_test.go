@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -90,6 +91,23 @@ func TestRunGuardedEveryFaultClass(t *testing.T) {
 			}
 			if i := sparse.FirstVecDiff(want, u, 1e-9); i >= 0 {
 				t.Fatalf("result wrong at row %d despite fallback", i)
+			}
+			// Batch-vs-single: a B=1 batch under the same fault must
+			// degrade exactly like the single-vector run.
+			p, err := fw.Plan(context.Background(), a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ub := make([]float64, a.Rows)
+			brep, err := fw.ExecutePlanBatchOpts(context.Background(), p, a, [][]float64{v}, [][]float64{ub}, opt)
+			if err != nil {
+				t.Fatalf("B=1 batch returned %v", err)
+			}
+			if i := bitsEqual(u, ub); i != -1 {
+				t.Fatalf("B=1 batch output differs from the single-vector run at row %d", i)
+			}
+			if brep.Isolated != 0 || !reflect.DeepEqual(normalizeReport(brep.Shared), normalizeReport(rep)) {
+				t.Errorf("B=1 batch report differs from the single-vector run's:\n batch  %+v\n single %+v", brep.Shared, rep)
 			}
 			if tc.wantAllCPU {
 				if rep.CPUServed != len(rep.Bins) {

@@ -12,14 +12,16 @@ import (
 	"spmvtune/internal/sparse"
 )
 
-// launchKernel executes one kernel launch on the device, routing between
-// the legacy single-accountant path (dev.Workers == 0 — byte-compatible
-// with the pre-parallel simulator) and the sharded ND-range executor
-// (dev.Workers >= 1 — worker-count-invariant, see hsa.RunSharded). Faults
-// and cancellation surface as panics on the calling goroutine in both
-// modes; callers that need containment wrap this in a recover (see
-// simulateBinAttempt and SimulateKernelCtx).
-func launchKernel(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u []float64,
+// launchKernel executes one kernel launch over B right-hand sides on the
+// device, routing between the legacy single-accountant path (dev.Workers
+// == 0 — byte-compatible with the pre-parallel simulator) and the sharded
+// ND-range executor (dev.Workers >= 1 — worker-count-invariant, see
+// hsa.RunSharded). A width-1 launch runs the kernel's plain single-vector
+// walk (RunBatch delegates to Run), so its stats are the pre-batch ones.
+// Faults and cancellation surface as panics on the calling goroutine in
+// both modes; callers that need containment wrap this in a recover (see
+// simulateBinAttempt and SimulateBatchKernelCtx).
+func launchKernel(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, us [][]float64,
 	k kernels.Kernel, groups []binning.Group, fs *hsa.FaultState, collect bool) (hsa.Stats, *hsa.Counters) {
 
 	if dev.Workers == 0 {
@@ -31,8 +33,8 @@ func launchKernel(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u []flo
 		if collect {
 			run.EnableCounters()
 		}
-		in := kernels.AcquireInput(run, a, v, u)
-		k.Run(run, in, groups)
+		in := kernels.AcquireBatchInput(run, a, vs, us)
+		k.RunBatch(run, in, groups)
 		st := run.Stats()
 		var ctr *hsa.Counters
 		// Gated on collect, not just the Counters() ok bit: the escaping
@@ -55,8 +57,8 @@ func launchKernel(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u []flo
 		Counters: collect,
 		Fault:    fs,
 	}, func(shard int, r *hsa.Run) {
-		in := kernels.AcquireInput(r, a, v, u)
-		k.Run(r, in, parts[shard])
+		in := kernels.AcquireBatchInput(r, a, vs, us)
+		k.RunBatch(r, in, parts[shard])
 		in.Release()
 	})
 }

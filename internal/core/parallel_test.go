@@ -80,6 +80,14 @@ func normalizeProfiles(ps []plan.ExecProfile) []plan.ExecProfile {
 	return out
 }
 
+// normalizeReport returns a copy of r with normalized profiles, so whole
+// reports can be compared with reflect.DeepEqual.
+func normalizeReport(r *ExecReport) ExecReport {
+	out := *r
+	out.Profiles = normalizeProfiles(r.Profiles)
+	return out
+}
+
 // guardedRun executes one guarded run with the given bin-pool size and
 // returns everything the determinism contract covers.
 func guardedRun(t *testing.T, fw *Framework, workers int) ([]float64, Decision, *ExecReport) {
@@ -122,6 +130,55 @@ func TestGuardedWorkerDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(normalizeProfiles(rep1.Profiles), normalizeProfiles(rep8.Profiles)) {
 		t.Errorf("exec profiles differ:\n w=1 %+v\n w=8 %+v", rep1.Profiles, rep8.Profiles)
+	}
+
+	// Fused batches fan out over the same bin pool: a B=8 batch with one
+	// vector poisoned on one bin must isolate identically at every pool size.
+	a, _, _ := guardMatrix()
+	p, err := fw.Plan(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nb = 8
+	batchRun := func(workers int) ([][]float64, *BatchReport) {
+		vs, us, _ := batchTestVectors(a, nb, 41)
+		opt := DefaultGuardOptions()
+		opt.Counters = true
+		opt.Workers = workers
+		opt.Faults = hsa.NewFaultPlan().AddBinFault(p.Bins[0].Bin, hsa.Fault{Class: hsa.FaultNaNPoison})
+		rep, err := fw.ExecutePlanBatchOpts(context.Background(), p, a, vs, us, opt)
+		if err != nil {
+			t.Fatalf("batch workers=%d: %v", workers, err)
+		}
+		return us, rep
+	}
+	bus1, brep1 := batchRun(1)
+	bus8, brep8 := batchRun(8)
+	for b := 0; b < nb; b++ {
+		if i := bitsEqual(bus1[b], bus8[b]); i != -1 {
+			t.Fatalf("batch vector %d differs at row %d across worker counts", b, i)
+		}
+	}
+	if brep1.Isolated == 0 {
+		t.Fatal("poisoned batch isolated no vector — the per-vector path was not exercised")
+	}
+	if brep1.Isolated != brep8.Isolated {
+		t.Errorf("batch Isolated differs: w=1 %d, w=8 %d", brep1.Isolated, brep8.Isolated)
+	}
+	if !reflect.DeepEqual(normalizeReport(brep1.Shared), normalizeReport(brep8.Shared)) {
+		t.Errorf("batch shared reports differ:\n w=1 %+v\n w=8 %+v", brep1.Shared, brep8.Shared)
+	}
+	if len(brep1.PerVector) != nb || len(brep8.PerVector) != nb {
+		t.Fatalf("PerVector lengths %d/%d, want %d", len(brep1.PerVector), len(brep8.PerVector), nb)
+	}
+	for b := 0; b < nb; b++ {
+		pv1, pv8 := brep1.PerVector[b], brep8.PerVector[b]
+		if (pv1 == nil) != (pv8 == nil) {
+			t.Fatalf("vector %d isolated at one worker count only", b)
+		}
+		if pv1 != nil && !reflect.DeepEqual(normalizeReport(pv1), normalizeReport(pv8)) {
+			t.Errorf("vector %d isolation reports differ:\n w=1 %+v\n w=8 %+v", b, pv1, pv8)
+		}
 	}
 }
 

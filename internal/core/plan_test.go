@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"spmvtune/internal/c50"
@@ -71,6 +72,51 @@ func TestPlanExecuteRoundTrip(t *testing.T) {
 	if rep.Decision.U != p.U {
 		t.Errorf("report decision U=%d, plan U=%d", rep.Decision.U, p.U)
 	}
+
+	// RunGuarded is Plan + ExecutePlan: same output, decision and report.
+	assertRunGuardedIsPlanExecute(t, fw, a, v)
+	// A nil model fails the predict path: RunGuarded reports the decision
+	// fallback that Plan records on the plan.
+	nilFw := NewFramework(testConfig(), nil)
+	if p := assertRunGuardedIsPlanExecute(t, nilFw, a, v); !p.Fallback {
+		t.Error("nil-model plan is not a fallback plan")
+	}
+}
+
+// assertRunGuardedIsPlanExecute requires RunGuarded to match ExecutePlan on
+// a fresh Plan bit for bit (wall time excepted), with the plan's Fallback
+// flag surfacing as the report's DecisionFallback; it returns the plan.
+func assertRunGuardedIsPlanExecute(t *testing.T, fw *Framework, a *sparse.CSR, v []float64) *plan.TuningPlan {
+	t.Helper()
+	ug := make([]float64, a.Rows)
+	d, rg, err := fw.RunGuarded(context.Background(), a, v, ug)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := fw.Plan(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ue := make([]float64, a.Rows)
+	re, err := fw.ExecutePlan(context.Background(), p, a, v, ue)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i := bitsEqual(ug, ue); i != -1 {
+		t.Fatalf("RunGuarded output differs from Plan+ExecutePlan at row %d", i)
+	}
+	if !reflect.DeepEqual(d, re.Decision) {
+		t.Errorf("RunGuarded decision %v, Plan+ExecutePlan %v", d, re.Decision)
+	}
+	if rg.DecisionFallback != p.Fallback {
+		t.Errorf("RunGuarded DecisionFallback=%v, plan Fallback=%v", rg.DecisionFallback, p.Fallback)
+	}
+	want := normalizeReport(re)
+	want.DecisionFallback = p.Fallback
+	if got := normalizeReport(rg); !reflect.DeepEqual(got, want) {
+		t.Errorf("RunGuarded report differs from Plan+ExecutePlan:\n got  %+v\n want %+v", got, want)
+	}
+	return p
 }
 
 func TestExecutePlanValidation(t *testing.T) {

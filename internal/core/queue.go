@@ -2,12 +2,9 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"spmvtune/internal/binning"
-	"spmvtune/internal/errdefs"
 	"spmvtune/internal/hsa"
-	"spmvtune/internal/kernels"
 	"spmvtune/internal/sparse"
 )
 
@@ -26,32 +23,17 @@ func SimulateBinnedQueued(dev hsa.Config, a *sparse.CSR, v, u []float64, b *binn
 // canceled context drains the queue — packets not yet dispatched are
 // abandoned and the in-flight launch aborts between work-group dispatches.
 func SimulateBinnedQueuedCtx(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u []float64, b *binning.Binning, kernelByBin map[int]int) (hsa.Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	var total hsa.Stats
 	launches := 0
-	for _, binID := range b.NonEmpty() {
-		if err := ctx.Err(); err != nil {
-			return total, errdefs.Canceled(err)
-		}
-		kid, ok := kernelByBin[binID]
-		if !ok {
-			return total, fmt.Errorf("core: no kernel assigned to non-empty bin %d", binID)
-		}
-		info, ok := kernels.ByID(kid)
-		if !ok {
-			return total, fmt.Errorf("core: unknown kernel id %d for bin %d", kid, binID)
-		}
-		st, err := SimulateKernelCtx(ctx, dev, a, v, u, info.Kernel, b.Bins[binID])
-		if err != nil {
-			return total, err
-		}
+	err := forEachBinLaunch(ctx, dev, a, v, u, b, kernelByBin, func(st hsa.Stats) {
 		// Strip the per-launch overhead; queue costs are added below.
 		st.Cycles = st.ExecCycles
 		st.Seconds = st.Cycles / dev.ClockHz
 		total.Add(st)
 		launches++
+	})
+	if err != nil {
+		return total, err
 	}
 	if launches > 0 {
 		extra := dev.KernelLaunchCycles + float64(launches-1)*dev.QueueDispatchCycles

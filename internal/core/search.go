@@ -9,7 +9,6 @@ import (
 	"spmvtune/internal/binning"
 	"spmvtune/internal/errdefs"
 	"spmvtune/internal/formats"
-	"spmvtune/internal/hsa"
 	"spmvtune/internal/kernels"
 	"spmvtune/internal/plancache"
 	"spmvtune/internal/sparse"
@@ -148,21 +147,18 @@ func SearchCtx(ctx context.Context, cfg Config, a *sparse.CSR) (SearchResult, er
 	for i := range v {
 		v[i] = 1
 	}
-	// A batched search (Config.Vectors > 1) times the fused SpMM variants
-	// instead of the single-vector kernels. Kernel cost depends only on
-	// structure, so every right-hand side can alias the same probe vector —
-	// and every output the same scratch slice, since all B results are
-	// identical.
+	// Every cell is timed as a B-wide launch: the fused SpMM variants for a
+	// batched search (Config.Vectors > 1), the single-vector kernels at
+	// width 1. Kernel cost depends only on structure, so every right-hand
+	// side can alias the same probe vector — and every output the same
+	// scratch slice, since all B results are identical.
 	vecs := cfg.Vectors
 	if vecs < 1 {
 		vecs = 1
 	}
-	var vsProbe [][]float64
-	if vecs > 1 {
-		vsProbe = make([][]float64, vecs)
-		for i := range vsProbe {
-			vsProbe[i] = v
-		}
+	vsProbe := make([][]float64, vecs)
+	for i := range vsProbe {
+		vsProbe[i] = v
 	}
 
 	// Stage 1 (sequential): bin the matrix per U and lay the result skeleton
@@ -193,7 +189,14 @@ func SearchCtx(ctx context.Context, cfg Config, a *sparse.CSR) (SearchResult, er
 	// skip kernels whose certified lower bound cannot win. Nil = legacy path.
 	cl := newCostLayer(cfg, dev, a, sp)
 	searchSpaceCellsTotal.Add(int64(len(tasks)) * int64(len(list)))
-	scratch := sync.Pool{New: func() any { s := make([]float64, a.Rows); return &s }}
+	scratch := sync.Pool{New: func() any {
+		u := make([]float64, a.Rows)
+		us := make([][]float64, vecs)
+		for b := range us {
+			us[b] = u
+		}
+		return &us
+	}}
 	errs := make([]error, len(tasks))
 	var stop atomic.Bool
 	forEachLimit(workers, len(tasks), func(i int) {
@@ -218,15 +221,8 @@ func SearchCtx(ctx context.Context, cfg Config, a *sparse.CSR) (SearchResult, er
 				}
 			}
 		}
-		up := scratch.Get().(*[]float64)
-		defer scratch.Put(up)
-		var usProbe [][]float64
-		if vecs > 1 {
-			usProbe = make([][]float64, vecs)
-			for b := range usProbe {
-				usProbe[b] = *up
-			}
-		}
+		usProbe := scratch.Get().(*[][]float64)
+		defer scratch.Put(usProbe)
 		var mask uint64
 		order := list
 		if boundOrdered && cl != nil && cl.prune {
@@ -246,13 +242,7 @@ func SearchCtx(ctx context.Context, cfg Config, a *sparse.CSR) (SearchResult, er
 					continue
 				}
 			}
-			var st hsa.Stats
-			var err error
-			if vecs > 1 {
-				st, err = SimulateBatchKernelCtx(ctx, dev, a, vsProbe, usProbe, info.Kernel, t.groups)
-			} else {
-				st, err = SimulateKernelCtx(ctx, dev, a, v, *up, info.Kernel, t.groups)
-			}
+			st, err := SimulateBatchKernelCtx(ctx, dev, a, vsProbe, *usProbe, info.Kernel, t.groups)
 			if err != nil {
 				errs[i] = err
 				stop.Store(true)

@@ -30,15 +30,6 @@ import (
 // order-sensitive, so delegation — not a B==1 walker — is what keeps the
 // single-vector cost model bit-identical to the pre-batch code.
 
-// BatchKernel is a Kernel that can execute a fused multi-RHS launch.
-// RunBatch processes exactly the rows covered by groups for every bound
-// vector pair (in.Vs[b], in.Us[b]), writing Us[b][row] for each. With a
-// single-vector binding it must behave exactly like Run.
-type BatchKernel interface {
-	Kernel
-	RunBatch(run *hsa.Run, in *Input, groups []binning.Group)
-}
-
 // BatchPipeFloorer extends PipeFloorer to fused launches: BatchPipeFloor
 // returns a certified lower bound, in device cycles, on the busiest SIMD
 // pipe of any work-group of a RunBatch launch over vectors right-hand
@@ -113,7 +104,7 @@ func (in *Input) Batch() int {
 	return 1
 }
 
-// RunBatch implements BatchKernel for Kernel-Serial.
+// RunBatch implements Kernel for Kernel-Serial.
 func (s Serial) RunBatch(run *hsa.Run, in *Input, groups []binning.Group) {
 	if in.Batch() <= 1 {
 		s.Run(run, in, groups)
@@ -139,7 +130,7 @@ func (s Serial) BatchPipeFloor(cfg hsa.Config, maxRowLen, vectors int) float64 {
 		(float64(2+vectors)*cfg.TxHitCycles + float64(vectors+1)*cfg.ALUCycles)
 }
 
-// RunBatch implements BatchKernel for Kernel-SubvectorX / Kernel-Vector.
+// RunBatch implements Kernel for Kernel-SubvectorX / Kernel-Vector.
 func (s Subvector) RunBatch(run *hsa.Run, in *Input, groups []binning.Group) {
 	if in.Batch() <= 1 {
 		s.Run(run, in, groups)
@@ -163,7 +154,7 @@ func (s Subvector) BatchPipeFloor(cfg hsa.Config, maxRowLen, vectors int) float6
 	return float64(vectors) * s.PipeFloor(cfg, maxRowLen)
 }
 
-// RunBatch implements BatchKernel for synthesized points, routing to the
+// RunBatch implements Kernel for synthesized points, routing to the
 // batch walker of the same family Run would pick.
 func (s Synth) RunBatch(run *hsa.Run, in *Input, groups []binning.Group) {
 	if in.Batch() <= 1 {
@@ -196,13 +187,6 @@ func (s Synth) BatchPipeFloor(cfg hsa.Config, maxRowLen, vectors int) float64 {
 			(float64(2+vectors)*cfg.TxHitCycles + float64(vectors+1)*cfg.ALUCycles)
 	}
 	return float64(vectors) * s.PipeFloor(cfg, maxRowLen)
-}
-
-// BatchKernelFor resolves the batch-capable form of a kernel, or false when
-// the kernel has no fused variant (executors then loop per vector).
-func BatchKernelFor(k Kernel) (BatchKernel, bool) {
-	bk, ok := k.(BatchKernel)
-	return bk, ok
 }
 
 // runSerialBatch is the fused lock-step serial walk: iteration t of the

@@ -53,10 +53,7 @@ func TestRunBatchByteIdenticalToIndependentRuns(t *testing.T) {
 		for _, nb := range []int{1, 2, 3, 8} {
 			vs, us := batchVectors(a, nb, 7)
 			for _, info := range batchKernelsUnderTest() {
-				bk, ok := info.Kernel.(BatchKernel)
-				if !ok {
-					t.Fatalf("%s: kernel has no batch variant", info.Name)
-				}
+				bk := info.Kernel
 				// Independent single-vector launches.
 				want := make([][]float64, nb)
 				for b := 0; b < nb; b++ {
@@ -95,7 +92,7 @@ func TestRunBatchAmortizesStructureTraffic(t *testing.T) {
 	const nb = 8
 	vs, us := batchVectors(a, nb, 11)
 	for _, info := range batchKernelsUnderTest() {
-		bk := info.Kernel.(BatchKernel)
+		bk := info.Kernel
 
 		var seq hsa.Stats
 		for b := 0; b < nb; b++ {
@@ -132,7 +129,7 @@ func TestRunBatchSingleVectorDelegates(t *testing.T) {
 	groups := allRows(a)
 	vs, us := batchVectors(a, 1, 5)
 	for _, info := range batchKernelsUnderTest() {
-		bk := info.Kernel.(BatchKernel)
+		bk := info.Kernel
 
 		uSingle := make([]float64, a.Rows)
 		runS := hsa.NewRun(hsa.DefaultConfig())
@@ -189,7 +186,7 @@ func TestBatchPipeFloorSound(t *testing.T) {
 				floor := bf.BatchPipeFloor(cfg, maxLen, nb)
 				run := hsa.NewRun(cfg)
 				in := NewBatchInput(run, a, vs, us)
-				info.Kernel.(BatchKernel).RunBatch(run, in, groups)
+				info.Kernel.RunBatch(run, in, groups)
 				if st := run.Stats(); st.ExecCycles < floor {
 					t.Errorf("%s B=%d: makespan %.1f undercuts certified floor %.1f",
 						info.Name, nb, st.ExecCycles, floor)

@@ -131,10 +131,13 @@ func (s *launchScratch) sumBuf(n int) []float64 {
 
 // Kernel is one SpMV implementation from the candidate pool. Run processes
 // exactly the rows covered by groups, writing u[row] for each, and accounts
-// device activity on run.
+// device activity on run. RunBatch is the fused multi-RHS (SpMM) launch: it
+// processes the same rows for every bound vector pair (in.Vs[b], in.Us[b]),
+// and with a single-vector binding it must behave exactly like Run.
 type Kernel interface {
 	Name() string
 	Run(run *hsa.Run, in *Input, groups []binning.Group)
+	RunBatch(run *hsa.Run, in *Input, groups []binning.Group)
 }
 
 // Info identifies a kernel in the pool; IDs are the class labels used by

@@ -67,8 +67,9 @@ type Config struct {
 	// the executing ones; the next request is rejected with 429.
 	// <= 0 selects 64.
 	QueueDepth int
-	// ExecWorkers bounds the per-request bin pool: each guarded execution
-	// may serve up to this many independent bins concurrently
+	// ExecWorkers bounds the per-request bin pool: each guarded execution,
+	// a coalesced batch flush included, may serve up to this many
+	// independent bins concurrently
 	// (core.GuardOptions.Workers). <= 0 selects 1 — sequential bins, all
 	// parallelism spent across requests. Values > 1 are clamped so the
 	// request pool times the bin pool never exceeds GOMAXPROCS; the

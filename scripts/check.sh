@@ -2,7 +2,8 @@
 # Full verification gate: formatting, vet, build, race-enabled tests, a
 # 1-iteration benchmark smoke, short fuzz smokes on the Matrix Market
 # parser and the spmvd request decoders (SpMV and solver sessions), plus
-# staticcheck and govulncheck.
+# staticcheck and govulncheck. The nested perfbench module gets its own
+# vet and test step.
 # Run via `make check` or directly. Fails on the first broken step.
 #
 # staticcheck and govulncheck are skipped with a notice when the binaries
@@ -42,6 +43,11 @@ go build ./...
 
 echo "== go test -race"
 go test -race ./...
+
+echo "== perfbench module"
+# perfbench is a nested module: the root ./... never compiles it, so a core
+# API change that breaks the benchmark is caught only here.
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== bench smoke (1 iteration)"
 go test -run='^$' -bench=. -benchtime=1x ./...

@@ -82,7 +82,8 @@ var (
 	ErrCanceled = errdefs.ErrCanceled
 )
 
-// Guarded-execution types (see Framework.RunGuarded / RunGuardedOpts).
+// Guarded-execution types (see Framework.ExecutePlan, and RunGuarded /
+// RunGuardedOpts, which are Plan followed by ExecutePlan).
 type (
 	// GuardOptions tunes retries, backoff, verification tolerance and
 	// fault injection for a guarded run.
